@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cpx import Acs, require_integrable, standard_acs
-from .errors import BadPairing, ConjugationInconsistent
+from .errors import BadPairing, ConjugationInconsistent, NotIntegrable
 from .exactlin import GAUSS_I, GAUSS_ONE, GAUSS_ZERO, GaussRational
 from .liealg import LieAlgebra
 
@@ -197,9 +197,8 @@ def complex_equations(g: LieAlgebra, j: Acs, pairing: Sequence[tuple[int, int]],
             if not v.is_zero():
                 coeffs[(a, key)] = v
     eqs = ComplexEquations(g.dim // 2, coeffs)
-    if require_integrability:
-        assert not [k for k in eqs.coeffs if k[1][0] == "02"], \
-            "integrable input produced a (0,2) component"
+    if require_integrability and any(key[0] == "02" for _, key in eqs.coeffs):
+        raise NotIntegrable("integrable input produced a (0,2) component")
     return eqs
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -67,7 +66,7 @@ def _subspace_json(s: Subspace) -> dict:
 
 
 def _load(path: str) -> NlaDocument:
-    return parse_nla(Path(path).read_text(encoding="utf-8"))
+    return parse_nla(_resolve_text(path))
 
 
 def _structure(doc: NlaDocument, name: str) -> Acs:
@@ -435,17 +434,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             _render(args, "family", status, payload, lines, None)
             return _EXIT[status]
         if args.command == "check" and getattr(args, "all_dir", None):
-            files = sorted(Path(args.all_dir).glob("*.nla"))
             results = []
-
-            def one(path: Path):
+            for path in sorted(Path(args.all_dir).glob("*.nla")):
                 d = parse_nla(path.read_text(encoding="utf-8"))
                 st, payload, _ = cmd_check(d, args)
-                return path.name, st, payload
-
-            with ThreadPoolExecutor() as pool:
-                for name, st, payload in pool.map(one, files):
-                    results.append((name, st, payload))
+                results.append((path.name, st, payload))
             worst = NEGATIVE if any(st == NEGATIVE for _, st, _ in results) else OK
             payload = {"results": [{"file": n, "status": st, **pl}
                                    for n, st, pl in results]}

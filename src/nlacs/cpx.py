@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import (DimensionMismatch, IndexOutOfRange, NotAlmostComplex,
@@ -39,6 +40,13 @@ class Acs:
 
     def apply(self, v: Sequence) -> Vector:
         return self.matrix.apply(vector(v))
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Nonzero entries ((row, value), ...) of each column, 1-based rows."""
+        m = self.matrix
+        return tuple(tuple((r, x) for r, x in enumerate(m.col(c), start=1) if x != 0)
+                     for c in range(self.dim))
 
 
 def validate_acs(j: Matrix) -> Acs:
@@ -95,13 +103,46 @@ def nijenhuis(g: LieAlgebra, j: Acs, x: Sequence, y: Sequence) -> Vector:
 
 
 def integrability_defect(g: LieAlgebra, j: Acs) -> list[tuple[tuple[int, int], Vector]]:
-    """Nonzero N(e_i, e_k) over basis pairs i < k; empty iff J is integrable."""
+    """Nonzero N(e_i, e_k) over basis pairs i < k; empty iff J is integrable.
+
+    Works on the nonzero structure constants and the nonzero entries of
+    J's columns.  With w_k(p) = [e_p, J e_k], [J e_i, e_k] = -w_i(k) and
+    [J e_i, J e_k] = sum_p J_pi w_k(p), so
+    N(e_i, e_k) = [e_i, e_k] + J(w_k(i) - w_i(k)) - sum_p J_pi w_k(p).
+    """
+    if j.dim != g.dim:
+        raise DimensionMismatch("structure and algebra dimensions differ")
+    n = g.dim
+    sparse, partners, jcols = g._sparse, g._partners, j._columns
+    # w[k - 1] = {p: w_k(p)} over the p with a nonzero value, as {m: coefficient}
+    w: list[dict[int, dict[int, Fraction]]] = []
+    for col in jcols:
+        wk: dict[int, dict[int, Fraction]] = {}
+        for q, jq in col:
+            for p, terms in partners.get(q, ()):  # terms = [e_q, e_p] = -[e_p, e_q]
+                acc = wk.setdefault(p, {})
+                for m, c in terms:
+                    acc[m] = acc.get(m, 0) - jq * c
+        w.append(wk)
+    zero = Fraction(0)
     out = []
-    for i in range(1, g.dim + 1):
-        for k in range(i + 1, g.dim + 1):
-            v = nijenhuis(g, j, g.basis_vector(i), g.basis_vector(k))
-            if not is_zero_vector(v):
-                out.append(((i, k), v))
+    for i in range(1, n + 1):
+        for k in range(i + 1, n + 1):
+            total = [zero] * n
+            for m, c in sparse.get((i, k), ()):
+                total[m - 1] += c
+            inner = dict(w[k - 1].get(i, {}))
+            for m, c in w[i - 1].get(k, {}).items():
+                inner[m] = inner.get(m, 0) - c
+            for m, c in inner.items():
+                if c:
+                    for r, jr in jcols[m - 1]:
+                        total[r - 1] += jr * c
+            for p, jp in jcols[i - 1]:
+                for m, c in w[k - 1].get(p, {}).items():
+                    total[m - 1] -= jp * c
+            if not is_zero_vector(total):
+                out.append(((i, k), tuple(total)))
     return out
 
 

@@ -200,7 +200,8 @@ class Matrix:
         if len(v) != self.cols:
             raise DimensionMismatch(
                 f"matrix is {self.rows}x{self.cols}, vector has length {len(v)}")
-        return tuple(sum((r[j] * v[j] for j in range(self.cols)), Fraction(0))
+        # zero entries are skipped: they would only build Fraction(0) products
+        return tuple(sum((x * y for x, y in zip(r, v) if x and y), Fraction(0))
                      for r in self.entries)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -208,7 +209,7 @@ class Matrix:
             raise DimensionMismatch("inner dimensions differ")
         cols = [other.col(j) for j in range(other.cols)]
         data = tuple(
-            tuple(sum((r[k] * c[k] for k in range(self.cols)), Fraction(0))
+            tuple(sum((x * y for x, y in zip(r, c) if x and y), Fraction(0))
                   for c in cols)
             for r in self.entries)
         return Matrix(self.rows, other.cols, data)
@@ -224,19 +225,10 @@ class Matrix:
         return Matrix(self.rows, self.cols,
                       tuple(scale_vector(Fraction(-1), r) for r in self.entries))
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
     def scale(self, c) -> "Matrix":
         c = scalar(c)
         return Matrix(self.rows, self.cols,
                       tuple(scale_vector(c, r) for r in self.entries))
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise DimensionMismatch("column counts differ")
-        return Matrix(self.rows + other.rows, self.cols,
-                      self.entries + other.entries)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -354,9 +346,6 @@ class Subspace:
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         return is_zero_vector(self.reduce(v))
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis.entries)
 
 
 def kernel_basis(m: Matrix) -> Subspace:

@@ -27,10 +27,11 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .ceq import CKey, ComplexEquations, realify
-from .cpx import JKind, j_compatible_series
+from .cpx import Acs, JKind, j_compatible_series
 from .errors import ForeignParameter, JacobiViolated
 from .exactlin import GAUSS_I, GaussRational
-from .liealg import ascending_central_series, jacobi_defect
+from .liealg import (LieAlgebra, SeriesReport, ascending_central_series,
+                     jacobi_defect)
 from .obstruct import DIM8_SNN_TYPES
 
 G2DIM3 = "G2dim3"
@@ -224,17 +225,20 @@ def family_case_check(p: FamilyParams,
     if jacobi_defect(g):
         raise JacobiViolated(
             "parameter point violates the Jacobi identity; not a Lie algebra")
-    report = ascending_central_series(g)
+    return _case_report(p, g, j, ascending_central_series(g))
+
+
+def _case_report(p: FamilyParams, g: LieAlgebra, j: Acs,
+                 report: SeriesReport) -> CaseReport:
+    """The case bookkeeping for a realified, Jacobi-valid instance of p."""
     typ = report.ascending_type if report.is_nilpotent else ()
-    cls = j_compatible_series(g, j)
-    center_dim = report.term(1).dim
     in_cases = typ in FAMILY_CASE_TYPES[p.family]
     return CaseReport(
         family=p.family,
         params=p,
         ascending_type=typ,
-        kind=cls.kind,
-        center_dim=center_dim,
+        kind=j_compatible_series(g, j).kind,
+        center_dim=report.term(1).dim,
         type_in_family_cases=in_cases,
         conditions_hold=in_cases and case_conditions(p.family, typ, p),
         type_in_dim8_list=typ in DIM8_SNN_TYPES,
@@ -248,19 +252,18 @@ def brute_force_case_search(family: str, case_type: tuple[int, ...],
 
     Deterministic: candidates are consumed in order and survivors are the
     Jacobi-valid points whose computed type equals ``case_type`` and whose
-    case check passes.  ``limit=None`` keeps every survivor.
+    case check passes.  ``limit=None`` keeps every survivor.  Each
+    candidate is realified once, and its series runs once.
     """
     found: list[FamilyParams] = []
     for cand in candidates:
-        eqs = family_instantiate(cand)
-        g, j, _ = realify(eqs)
+        g, j, _ = realify(family_instantiate(cand))
         if jacobi_defect(g):
             continue
         report = ascending_central_series(g)
         if not report.is_nilpotent or report.ascending_type != case_type:
             continue
-        rep = family_case_check(cand, eqs)
-        if rep.passed:
+        if _case_report(cand, g, j, report).passed:
             found.append(cand)
             if limit is not None and len(found) >= limit:
                 break

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from .errors import (BadIndex, DimensionMismatch, NotALieAlgebra, NotAnIdeal,
                      NotNilpotent, SingularMatrix)
-from .exactlin import (Matrix, Subspace, Vector, add_vectors, is_zero_vector,
+from .exactlin import (Matrix, Subspace, Vector, is_zero_vector,
                        kernel_basis, member, scalar, scale_vector,
                        unit_vector, vector)
 
@@ -57,6 +57,33 @@ class LieAlgebra:
     def _table(self) -> dict[tuple[int, int], Vector]:
         return dict(self.table)
 
+    @cached_property
+    def _sparse(self) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
+        """Nonzero constants {(i, j): ((k, c_ij^k), ...)}, both orders, 1-based.
+
+        The (j, i) entry carries the flipped signs, so a lookup needs no
+        ordering of the pair; a missing key is a zero bracket.
+        """
+        sparse = {}
+        for (i, j), coeffs in self.table:
+            terms = tuple((k, c) for k, c in enumerate(coeffs, start=1) if c != 0)
+            sparse[(i, j)] = terms
+            sparse[(j, i)] = tuple((k, -c) for k, c in terms)
+        return sparse
+
+    @cached_property
+    def _partners(self) -> dict[int, tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...]]:
+        """For each index l, its nonzero brackets [e_l, e_c] as ((c, terms), ...)."""
+        partners: dict[int, list] = {}
+        for (l, c), terms in self._sparse.items():
+            partners.setdefault(l, []).append((c, terms))
+        return {l: tuple(row) for l, row in partners.items()}
+
+    @cached_property
+    def _jacobi(self) -> tuple[tuple[tuple[int, int, int], Vector], ...]:
+        # one evaluation per instance, shared by every caller that validates
+        return _jacobi_contraction(self)
+
     def basis_bracket(self, i: int, j: int) -> Vector:
         """[e_i, e_j] for 1-based i, j (antisymmetric extension)."""
         if i == j:
@@ -96,37 +123,60 @@ def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
     if len(xv) != g.dim or len(yv) != g.dim:
         raise DimensionMismatch("vector length differs from the algebra dimension")
     out = [Fraction(0)] * g.dim
-    for (i, j), coeffs in g.table:
+    sparse = g._sparse
+    for i, j in g._table:
         c = xv[i - 1] * yv[j - 1] - xv[j - 1] * yv[i - 1]
         if c != 0:
-            for k in range(g.dim):
-                if coeffs[k] != 0:
-                    out[k] += c * coeffs[k]
+            for k, ck in sparse[(i, j)]:
+                out[k - 1] += c * ck
     return tuple(out)
+
+
+def _jacobi_contraction(g: LieAlgebra) -> tuple[tuple[tuple[int, int, int], Vector], ...]:
+    """Jacobi defects as the contraction sum c_ab^l c_lc^m over nonzero constants.
+
+    Jac(e_i, e_j, e_k) sums [[e_x, e_y], e_z] over the cyclic orders of
+    i < j < k.  With the bracketed pair written as a stored pair a < b, a
+    term is +[[e_a, e_b], e_c], or -[[e_a, e_b], e_c] when a < c < b, and
+    expands to sum c_ab^l c_lc^m e_m.  Only nonzero constants are visited,
+    so an empty table does no work whatever the dimension.
+    """
+    sparse, partners = g._sparse, g._partners
+    zero = Fraction(0)
+    sums: dict[tuple[int, int, int], list[Fraction]] = {}
+    for a, b in g._table:
+        for l, c_ab in sparse[(a, b)]:
+            for c, inner in partners.get(l, ()):
+                if c < a:
+                    key, f = (c, a, b), c_ab
+                elif c > b:
+                    key, f = (a, b, c), c_ab
+                elif a < c < b:
+                    key, f = (a, c, b), -c_ab
+                else:
+                    continue
+                acc = sums.get(key)
+                if acc is None:
+                    acc = sums[key] = [zero] * g.dim
+                for m, c_lc in inner:
+                    acc[m - 1] += f * c_lc
+    return tuple((key, tuple(acc)) for key, acc in sorted(sums.items())
+                 if not is_zero_vector(acc))
 
 
 def jacobi_defect(g: LieAlgebra) -> list[tuple[tuple[int, int, int], Vector]]:
     """Nonzero values of Jac(e_i, e_j, e_k) over basis triples i < j < k.
 
     Trilinearity makes the basis check complete: the defect list is empty
-    exactly when the Jacobi identity holds on all of g.
+    exactly when the Jacobi identity holds on all of g.  The triples come
+    in lexicographic order; the evaluation is cached on g and every call
+    returns a fresh list.
     """
-    defects = []
-    n = g.dim
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                t1 = bracket(g, g.basis_bracket(i, j), g.basis_vector(k))
-                t2 = bracket(g, g.basis_bracket(j, k), g.basis_vector(i))
-                t3 = bracket(g, g.basis_bracket(k, i), g.basis_vector(j))
-                total = add_vectors(add_vectors(t1, t2), t3)
-                if not is_zero_vector(total):
-                    defects.append(((i, j, k), total))
-    return defects
+    return list(g._jacobi)
 
 
 def require_lie_algebra(g: LieAlgebra) -> None:
-    if jacobi_defect(g):
+    if g._jacobi:
         raise NotALieAlgebra("structure constants violate the Jacobi identity")
 
 

@@ -87,6 +87,17 @@ def test_criterion_2_example_2_6():
 
 
 def test_criterion_3_example_3_17():
+    """Red by design: the two pins on ex3_17 contradict each other.
+
+    For a nilpotent g with center Z = Z_1(g), the preimage of Z_k(g/Z)
+    under the projection is Z_{k+1}(g).  Induct on k: the preimage of
+    Z_0(g/Z) = 0 is Z = Z_1(g), and x + Z is in Z_k(g/Z) exactly when
+    [x, g] lies in the preimage of Z_{k-1}(g/Z), which is Z_k(g), i.e.
+    when x is in Z_{k+1}(g).  Hence Z_k(g/Z) = Z_{k+1}(g)/Z and
+    dim Z_k(g/Z) = dim Z_{k+1}(g) - dim Z.  Type (2,4,5,6,8) for g
+    therefore forces quotient type (4-2, 5-2, 6-2, 8-2) = (2,3,4,6), not
+    the pinned (1,2,3,4,6).  The assertion is kept as written.
+    """
     doc = corpus.load("ex3_17")
     g = doc.algebra()
     rep = ascending_central_series(g)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nlacs import ceq
 from nlacs.ceq import (ComplexEquations, algebra_from_real_equations,
                        bidegree_split, complex_equations, d_square_defect,
                        real_equations, realify)
@@ -88,6 +89,16 @@ class TestComplexEquations:
             eqs = complex_equations(g, j, STD_PAIRING,
                                     require_integrability=False)
             assert any(key[1][0] == "02" for key in eqs.coeffs)
+
+    def test_02_guard_is_an_error_not_an_assert(self, monkeypatch):
+        # [e1,e3] = e1 makes N(e1, e3) nonzero for the standard structure;
+        # with the Nijenhuis check skipped, the (0,2) guard must still fire
+        g = LieAlgebra.from_brackets(4, {(1, 3): {1: 1}})
+        j = standard_acs(4)
+        assert integrability_defect(g, j)
+        monkeypatch.setattr(ceq, "require_integrable", lambda g, j: None)
+        with pytest.raises(NotIntegrable, match="(0,2)"):
+            complex_equations(g, j, ((1, 2), (3, 4)))
 
     def test_default_ordering_reproduces_family(self, docs, algebras):
         # the committed corpus realifications use the standard pairing

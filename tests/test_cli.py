@@ -73,6 +73,13 @@ class TestCoreCommands:
                         str(corpus_dir / "abelian4.nla"))
         assert code == 0 and "dim 7" in out
 
+    def test_product_with_corpus_second_file(self, corpus_dir, capsys):
+        code, out = run(capsys, "product", str(corpus_dir / "h3.nla"),
+                        "corpus:abelian4")
+        assert code == 0 and "dim 7" in out
+        code, out = run(capsys, "product", "corpus:h3", "corpus:h3")
+        assert code == 0 and "dim 6" in out and "[4,5] = 6" in out
+
     def test_obstruct_exit_codes(self, corpus_dir, capsys):
         code, out = run(capsys, "obstruct", str(corpus_dir / "filiform8.nla"))
         assert code == 1 and "filiform" in out

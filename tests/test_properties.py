@@ -5,17 +5,21 @@ cases each; here hypothesis explores the same statements more freely.
 """
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from nlacs import corpus
+from nlacs import corpus, liealg
 from nlacs.ceq import complex_equations, d_square_defect, real_equations
-from nlacs.cpx import (adapt_frame, integrability_defect, j_compatible_series,
-                       largest_j_invariant, standard_acs)
-from nlacs.exactlin import intersect, sum_span
-from nlacs.liealg import center, change_basis, jacobi_defect
+from nlacs.cpx import (Acs, adapt_frame, integrability_defect,
+                       j_compatible_series, largest_j_invariant, nijenhuis,
+                       standard_acs)
+from nlacs.exactlin import add_vectors, intersect, sum_span, unit_vector
+from nlacs.liealg import (LieAlgebra, ascending_central_series, bracket, center,
+                          change_basis, jacobi_defect, require_lie_algebra)
 
-from conftest import random_algebra, random_invertible, random_subspace
+from conftest import (random_acs, random_algebra, random_fraction,
+                      random_invertible, random_subspace)
 
 EVEN_CORPUS = ("abelian4", "abelian8", "ex2_5", "ex2_6", "ex3_17", "ex3_18",
                "filiform8", "heis3xR3", "g2dim3_138", "g2dim5_158")
@@ -105,3 +109,138 @@ def test_series_term_invariants_transported(seed):
         assert term.dim % 2 == 0
         assert largest_j_invariant(j2, term) == term
         assert all(member(v, rep.term(k)) for v in term.basis.entries)
+
+
+# --- sparse evaluators against dense references built from `bracket` ----
+
+def _random_table(rnd: random.Random, dim: int) -> LieAlgebra:
+    """Sparse or dense constants, several targets per bracket; Jacobi usually fails."""
+    density = rnd.choice((0.1, 0.3, 0.7, 1.0))
+    table = {}
+    for i in range(1, dim + 1):
+        for j in range(i + 1, dim + 1):
+            if rnd.random() < density:
+                table[(i, j)] = {rnd.randint(1, dim): random_fraction(rnd)
+                                 for _ in range(rnd.randint(1, dim))}
+    return LieAlgebra.from_brackets(dim, table)
+
+
+def _seeded_algebra(seed: int) -> LieAlgebra:
+    rnd = random.Random(seed)
+    pick = rnd.random()
+    if pick < 0.3:
+        g = corpus.load(rnd.choice(EVEN_CORPUS)).algebra()
+        return change_basis(g, random_invertible(rnd, g.dim))
+    if pick < 0.5:
+        return random_algebra(rnd, rnd.randint(1, 7))
+    return _random_table(rnd, rnd.randint(1, 7))
+
+
+def _dense_jacobi(g: LieAlgebra):
+    e = [unit_vector(g.dim, i) for i in range(g.dim)]
+    out = []
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            for k in range(j + 1, g.dim):
+                total = add_vectors(
+                    add_vectors(bracket(g, bracket(g, e[i], e[j]), e[k]),
+                                bracket(g, bracket(g, e[j], e[k]), e[i])),
+                    bracket(g, bracket(g, e[k], e[i]), e[j]))
+                if any(x != 0 for x in total):
+                    out.append(((i + 1, j + 1, k + 1), total))
+    return out
+
+
+def _dense_nijenhuis(g: LieAlgebra, j: Acs):
+    e = [unit_vector(g.dim, i) for i in range(g.dim)]
+    out = []
+    for i in range(g.dim):
+        for k in range(i + 1, g.dim):
+            v = nijenhuis(g, j, e[i], e[k])
+            if any(x != 0 for x in v):
+                out.append(((i + 1, k + 1), v))
+    return out
+
+
+def _same_entries(a, b) -> bool:
+    """Equal lists whose vectors hold Fractions in every slot."""
+    return a == b and all(type(x) is Fraction for _, v in a for x in v)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_jacobi_defect_matches_dense_reference(seed):
+    g = _seeded_algebra(seed)
+    assert _same_entries(jacobi_defect(g), _dense_jacobi(g))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_integrability_defect_matches_nijenhuis(seed):
+    rnd = random.Random(seed)
+    if rnd.random() < 0.5:
+        # a corpus pair in a random frame, or a random conjugate of the
+        # standard structure on a corpus algebra (usually not integrable)
+        name, sname = rnd.choice(INTEGRABLE)
+        doc = corpus.load(name)
+        g = doc.algebra()
+        j = (doc.structure(sname) if rnd.random() < 0.5
+             else random_acs(rnd, g.dim))
+        p = random_invertible(rnd, g.dim)
+        g, j = change_basis(g, p), Acs(g.dim, p.inverse() @ j.matrix @ p)
+    else:
+        dim = rnd.choice((2, 4, 6))
+        g = _random_table(rnd, dim)
+        j = random_acs(rnd, dim) if rnd.random() < 0.7 else standard_acs(dim)
+    assert _same_entries(integrability_defect(g, j), _dense_nijenhuis(g, j))
+
+
+def test_integrability_defect_on_fixed_pairs():
+    # integrable: ex2_5 with its J conjugated into a random frame
+    rnd = random.Random(7)
+    doc = corpus.load("ex2_5")
+    p = random_invertible(rnd, 8)
+    g = change_basis(doc.algebra(), p)
+    j = Acs(8, p.inverse() @ doc.structure("J").matrix @ p)
+    assert integrability_defect(g, j) == _dense_nijenhuis(g, j) == []
+    # not integrable: [e1,e3] = e1 under the standard structure
+    g = LieAlgebra.from_brackets(4, {(1, 3): {1: 1}})
+    j = standard_acs(4)
+    defects = integrability_defect(g, j)
+    assert defects and _same_entries(defects, _dense_nijenhuis(g, j))
+
+
+def test_jacobi_evaluated_once_per_instance(monkeypatch):
+    calls = []
+    original = liealg._jacobi_contraction
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(liealg, "_jacobi_contraction", counting)
+    doc = corpus.load("ex2_5")
+    g0, j = doc.algebra(), doc.structure("J")
+    g = LieAlgebra(g0.dim, g0.names, g0.table)
+    for _ in range(2):
+        jacobi_defect(g)
+        require_lie_algebra(g)
+        center(g)
+        ascending_central_series(g)
+        j_compatible_series(g, j)
+    assert len(calls) == 1
+    twin = LieAlgebra(g.dim, g.names, g.table)
+    jacobi_defect(twin)
+    assert len(calls) == 2 and calls[1] is twin
+
+
+def test_defect_lists_are_fresh():
+    rnd = random.Random(3)
+    for _ in range(20):
+        g = _random_table(rnd, 5)
+        first = jacobi_defect(g)
+        expected = list(first)
+        first.clear()
+        first.append(((1, 2, 3), (Fraction(1),) * 5))
+        assert jacobi_defect(g) == expected
+        assert jacobi_defect(g) is not jacobi_defect(g)
