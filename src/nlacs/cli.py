@@ -371,16 +371,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "with almost complex structures.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, with_file=True):
+    def add(name, help_, with_file=True, file_nargs=None):
         p = sub.add_parser(name, help=help_)
         if with_file:
-            p.add_argument("file", help=".nla input file (or corpus:NAME)")
+            p.add_argument("file", nargs=file_nargs,
+                           help=".nla input file (or corpus:NAME)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         return p
 
-    add("check", "verify the Jacobi identity and d^2 = 0") \
+    add("check", "verify the Jacobi identity and d^2 = 0", file_nargs="?") \
         .add_argument("--all", metavar="DIR", dest="all_dir",
-                      help="check every .nla file under DIR instead")
+                      help="check every .nla file under DIR instead of FILE")
     add("series", "ascending central series, type and step")
     p = add("jseries", "J-compatible series and classification")
     p.add_argument("--j", default="J", help="structure name (default J)")
@@ -427,7 +428,10 @@ def _run_single(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "check" and args.file is None and not args.all_dir:
+        parser.error("check needs FILE or --all DIR")
     try:
         if args.command == "family":
             status, payload, lines = cmd_family(args)

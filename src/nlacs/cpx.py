@@ -16,10 +16,10 @@ from typing import Sequence
 from .errors import (DimensionMismatch, IndexOutOfRange, NotAlmostComplex,
                      NotIntegrable, NotJAdapted, OddDimension, SingularMatrix)
 from .exactlin import (Matrix, Subspace, Vector, add_vectors, apply_map,
-                       intersect, is_zero_vector, kernel_basis, member,
-                       scale_vector, unit_vector, vector)
-from .liealg import (LieAlgebra, ascending_central_series, bracket,
-                     quotient, require_lie_algebra)
+                       intersect, is_zero_vector, member, scale_vector,
+                       unit_vector, vector)
+from .liealg import (LieAlgebra, _next_term, ascending_central_series,
+                     bracket, quotient, require_lie_algebra)
 
 
 @dataclass(frozen=True)
@@ -105,13 +105,25 @@ def nijenhuis(g: LieAlgebra, j: Acs, x: Sequence, y: Sequence) -> Vector:
 def integrability_defect(g: LieAlgebra, j: Acs) -> list[tuple[tuple[int, int], Vector]]:
     """Nonzero N(e_i, e_k) over basis pairs i < k; empty iff J is integrable.
 
-    Works on the nonzero structure constants and the nonzero entries of
-    J's columns.  With w_k(p) = [e_p, J e_k], [J e_i, e_k] = -w_i(k) and
-    [J e_i, J e_k] = sum_p J_pi w_k(p), so
-    N(e_i, e_k) = [e_i, e_k] + J(w_k(i) - w_i(k)) - sum_p J_pi w_k(p).
+    The pairs come in lexicographic order.  The evaluation is cached on g
+    by J's matrix, and every call returns a fresh list.
     """
     if j.dim != g.dim:
         raise DimensionMismatch("structure and algebra dimensions differ")
+    defects = g._nijenhuis.get(j.matrix)
+    if defects is None:
+        defects = g._nijenhuis[j.matrix] = _nijenhuis_contraction(g, j)
+    return list(defects)
+
+
+def _nijenhuis_contraction(g: LieAlgebra,
+                           j: Acs) -> tuple[tuple[tuple[int, int], Vector], ...]:
+    """N(e_i, e_k) from the nonzero structure constants and J's nonzero entries.
+
+    With w_k(p) = [e_p, J e_k], [J e_i, e_k] = -w_i(k) and
+    [J e_i, J e_k] = sum_p J_pi w_k(p), so
+    N(e_i, e_k) = [e_i, e_k] + J(w_k(i) - w_i(k)) - sum_p J_pi w_k(p).
+    """
     n = g.dim
     sparse, partners, jcols = g._sparse, g._partners, j._columns
     # w[k - 1] = {p: w_k(p)} over the p with a nonzero value, as {m: coefficient}
@@ -143,30 +155,12 @@ def integrability_defect(g: LieAlgebra, j: Acs) -> list[tuple[tuple[int, int], V
                     total[m - 1] -= jp * c
             if not is_zero_vector(total):
                 out.append(((i, k), tuple(total)))
-    return out
+    return tuple(out)
 
 
 def require_integrable(g: LieAlgebra, j: Acs) -> None:
     if integrability_defect(g, j):
         raise NotIntegrable("the Nijenhuis tensor does not vanish")
-
-
-def _next_j_term(g: LieAlgebra, j: Acs, prev: Subspace) -> Subspace:
-    """Kernel of x -> ([x, e_k] mod prev, [Jx, e_k] mod prev) over all k."""
-    n = g.dim
-    comp = prev.nonpivots()
-    if not comp:
-        return Subspace.full(n)
-    rows: list[Vector] = []
-    jcols = [j.apply(unit_vector(n, i)) for i in range(n)]
-    for k in range(1, n + 1):
-        ek = g.basis_vector(k)
-        plain = [prev.coords_mod(g.basis_bracket(i, k)) for i in range(1, n + 1)]
-        twisted = [prev.coords_mod(bracket(g, jcols[i], ek)) for i in range(n)]
-        for r in range(len(comp)):
-            rows.append(tuple(plain[i][r] for i in range(n)))
-            rows.append(tuple(twisted[i][r] for i in range(n)))
-    return kernel_basis(Matrix.from_rows(rows))
 
 
 def j_compatible_series(g: LieAlgebra, j: Acs) -> JClassification:
@@ -179,7 +173,7 @@ def j_compatible_series(g: LieAlgebra, j: Acs) -> JClassification:
     require_integrable(g, j)
     series: list[Subspace] = [Subspace.zero(g.dim)]
     while True:
-        nxt = _next_j_term(g, j, series[-1])
+        nxt = _next_term(g, series[-1], j)
         if nxt == series[-1]:
             break
         series.append(nxt)
@@ -219,7 +213,7 @@ def induced_quotient(g: LieAlgebra, j: Acs, q: int) -> tuple[LieAlgebra, Acs]:
             f"q={q} outside the stabilized range 0..{cls.stabilization_index}")
     ideal = cls.term(q)
     gq, proj = quotient(g, ideal)
-    comp = ideal.nonpivots()
+    comp = ideal.nonpivots
     cols = [proj.apply(j.apply(unit_vector(g.dim, c))) for c in comp]
     jq = Matrix.from_rows([[cols[b][a] for b in range(len(comp))]
                            for a in range(len(comp))])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
@@ -314,7 +315,9 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    @property
+    # the basis is frozen and canonical, so everything read off it is cached
+
+    @cached_property
     def pivots(self) -> tuple[int, ...]:
         out = []
         for r in self.basis.entries:
@@ -324,9 +327,28 @@ class Subspace:
                     break
         return tuple(out)
 
+    @cached_property
     def nonpivots(self) -> tuple[int, ...]:
         piv = set(self.pivots)
         return tuple(c for c in range(self.ambient_dim) if c not in piv)
+
+    @cached_property
+    def projection(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """The map v -> coords_mod(v) as e_m -> ((position, coefficient), ...).
+
+        Positions index the non-pivot coordinates.  A non-pivot e_m maps
+        to its own position; the pivot of row r maps to minus that row's
+        entries at the non-pivot positions, which is its remainder after
+        ``reduce``.  Zero coefficients are left out.
+        """
+        comp = self.nonpivots
+        position = {c: r for r, c in enumerate(comp)}
+        images: list[tuple[tuple[int, Fraction], ...]] = [
+            ((position[c], Fraction(1)),) if c in position else ()
+            for c in range(self.ambient_dim)]
+        for row, p in zip(self.basis.entries, self.pivots):
+            images[p] = tuple((r, -row[c]) for r, c in enumerate(comp) if row[c])
+        return tuple(images)
 
     def reduce(self, v: Sequence[Fraction]) -> Vector:
         """Remainder of v after eliminating the pivot coordinates."""
@@ -341,17 +363,26 @@ class Subspace:
 
     def coords_mod(self, v: Sequence[Fraction]) -> Vector:
         """Coordinates of v in the complement (non-pivot) positions, mod self."""
-        rem = self.reduce(v)
-        return tuple(rem[c] for c in self.nonpivots())
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatch("vector/subspace dimension mismatch")
+        out = [Fraction(0)] * len(self.nonpivots)
+        for x, image in zip(v, self.projection):
+            if x:
+                for r, q in image:
+                    out[r] += x * q
+        return tuple(out)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         return is_zero_vector(self.reduce(v))
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Null space of m as a canonical subspace of Q^cols."""
-    reduced, rank = rref(m)
-    pivots = Subspace(m.cols, Matrix(rank, m.cols, reduced.entries[:rank])).pivots
+    """Null space of m as a canonical subspace of Q^cols.
+
+    Zero rows constrain nothing, so they are dropped before elimination.
+    """
+    rows = [list(r) for r in m.entries if not is_zero_vector(r)]
+    reduced, _, pivots = _row_reduce(rows, m.cols)
     piv_set = set(pivots)
     vecs = []
     for f in range(m.cols):
@@ -360,7 +391,7 @@ def kernel_basis(m: Matrix) -> Subspace:
         v = [Fraction(0)] * m.cols
         v[f] = Fraction(1)
         for r, p in enumerate(pivots):
-            v[p] = -reduced.entry(r, f)
+            v[p] = -reduced[r][f]
         vecs.append(tuple(v))
     return Subspace.span(vecs, m.cols)
 

@@ -11,13 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import (BadIndex, DimensionMismatch, NotALieAlgebra, NotAnIdeal,
                      NotNilpotent, SingularMatrix)
 from .exactlin import (Matrix, Subspace, Vector, is_zero_vector,
                        kernel_basis, member, scalar, scale_vector,
                        unit_vector, vector)
+
+if TYPE_CHECKING:
+    from .cpx import Acs
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,12 @@ class LieAlgebra:
     def _jacobi(self) -> tuple[tuple[tuple[int, int, int], Vector], ...]:
         # one evaluation per instance, shared by every caller that validates
         return _jacobi_contraction(self)
+
+    @cached_property
+    def _nijenhuis(self) -> dict[Matrix, tuple[tuple[tuple[int, int], Vector], ...]]:
+        # integrability defects by structure matrix, filled in by
+        # cpx.integrability_defect: one evaluation per (algebra, J)
+        return {}
 
     def basis_bracket(self, i: int, j: int) -> Vector:
         """[e_i, e_j] for 1-based i, j (antisymmetric extension)."""
@@ -180,18 +189,37 @@ def require_lie_algebra(g: LieAlgebra) -> None:
         raise NotALieAlgebra("structure constants violate the Jacobi identity")
 
 
-def _next_term(g: LieAlgebra, prev: Subspace) -> Subspace:
-    """Kernel of x -> ([x, e_j] mod prev) over all basis directions e_j."""
+def _next_term(g: LieAlgebra, prev: Subspace, j: Acs | None = None) -> Subspace:
+    """Kernel of x -> [x, e_k] mod prev over all k; with j, also [Jx, e_k] mod prev.
+
+    Row (k, r) holds, in column i, coordinate r of [e_i, e_k] mod prev.
+    Each nonzero bracket is projected once through prev's projection and
+    fills column i of rows (k, .) and, negated, column k of rows (i, .),
+    so a zero bracket costs nothing.  As J x = sum_i x_i J e_i, the
+    twisted row of [Jx, e_k] is the plain row (k, r) times J.
+    """
     n = g.dim
-    comp = prev.nonpivots()
-    if not comp:
+    if not prev.nonpivots:
         return Subspace.full(n)
+    proj, sparse = prev.projection, g._sparse
+    plain: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for i, k in g._table:
+        image: dict[int, Fraction] = {}
+        for m, c in sparse[(i, k)]:
+            for r, q in proj[m - 1]:
+                image[r] = image.get(r, 0) + c * q
+        for r, v in image.items():
+            if v:
+                plain.setdefault((k, r), {})[i] = v
+                plain.setdefault((i, r), {})[k] = -v
+    zero = Fraction(0)
     rows: list[Vector] = []
-    for j in range(1, n + 1):
-        cols = [prev.coords_mod(g.basis_bracket(i, j)) for i in range(1, n + 1)]
-        for r in range(len(comp)):
-            rows.append(tuple(cols[i][r] for i in range(n)))
-    return kernel_basis(Matrix.from_rows(rows))
+    for row in plain.values():
+        rows.append(tuple(row.get(i, zero) for i in range(1, n + 1)))
+        if j is not None:
+            rows.append(tuple(sum((row[p] * jp for p, jp in col if p in row), zero)
+                              for col in j._columns))
+    return kernel_basis(Matrix(len(rows), n, tuple(rows)))
 
 
 def ascending_central_series(g: LieAlgebra) -> SeriesReport:
@@ -248,7 +276,7 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
     """
     if not is_ideal(g, ideal):
         raise NotAnIdeal("the given subspace is not an ideal of g")
-    comp = ideal.nonpivots()
+    comp = ideal.nonpivots
     q = len(comp)
     proj = Matrix.from_rows([ideal.coords_mod(unit_vector(g.dim, c))
                              for c in range(g.dim)]).transpose()

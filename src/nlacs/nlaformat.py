@@ -38,6 +38,13 @@ from .exactlin import GaussRational, Matrix, Vector
 from .liealg import LieAlgebra
 
 
+# Largest dimension a document may declare.  The series start from dense
+# n x n subspaces (the full space holds n^2 Fractions), so a bare
+# ``dim 3000`` would take about a minute and more than 1 GB; at 256 every
+# command on an empty table answers within a second.
+MAX_DIM = 256
+
+
 class NlaParseError(NlacsError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, col {col}: {message}")
@@ -204,9 +211,14 @@ def parse_nla(text: str) -> NlaDocument:
         if head == "dim":
             if dim is not None:
                 fail("duplicate dim statement", lineno, col)
-            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
+            # leading zeros stripped: "0" and "" (no N) both fail below
+            digits = tokens[1].lstrip("0") if len(tokens) == 2 else ""
+            if not digits.isdecimal():
                 fail("expected: dim N with N >= 1", lineno, col)
-            dim = int(tokens[1])
+            # the length test comes first: int() refuses very long strings
+            if len(digits) > len(str(MAX_DIM)) or int(digits) > MAX_DIM:
+                fail(f"dim exceeds the limit of {MAX_DIM}", lineno, col)
+            dim = int(digits)
             continue
 
         if head in ("name", "cite"):

@@ -166,6 +166,13 @@ class TestErrorPaths:
                       "--pairing", "1,3;2,4;5,6;7,8")
         assert code == 2
 
+    def test_dim_above_limit_is_input_error(self, tmp_path, capsys):
+        f = tmp_path / "huge.nla"
+        f.write_text("dim 3000\n")
+        for cmd in ("check", "series"):
+            code, out = run(capsys, cmd, str(f))
+            assert code == 2 and "line 1, col 1" in out and "256" in out
+
 
 class TestBatchMode:
     def test_check_all(self, corpus_dir, capsys):
@@ -173,6 +180,21 @@ class TestBatchMode:
                         "--all", str(corpus_dir))
         assert code == 0
         assert len(out.strip().splitlines()) == len(corpus.names())
+
+    def test_check_all_needs_no_file(self, corpus_dir, capsys):
+        for fmt in ("text", "json"):
+            with_file = run(capsys, "check", "corpus:h3", "--all",
+                            str(corpus_dir), "--format", fmt)
+            without = run(capsys, "check", "--all", str(corpus_dir),
+                          "--format", fmt)
+            assert without == with_file and without[0] == 0
+
+    def test_check_without_file_or_all_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "FILE or --all DIR" in captured.err
 
 
 @pytest.fixture(scope="module")

@@ -9,10 +9,11 @@ from nlacs import corpus
 from nlacs.ceq import ComplexEquations
 from nlacs.exactlin import GaussRational
 from nlacs.liealg import ascending_type
-from nlacs.nlaformat import (DuplicateBracket, IndexOutOfRange, JInconsistent,
-                             NlaParseError, NlaSyntaxError, parse_complex_equations,
-                             parse_nla, parse_pairing, parse_vector_list,
-                             print_complex_equations, print_nla)
+from nlacs.nlaformat import (MAX_DIM, DuplicateBracket, IndexOutOfRange,
+                             JInconsistent, NlaParseError, NlaSyntaxError,
+                             parse_complex_equations, parse_nla, parse_pairing,
+                             parse_vector_list, print_complex_equations,
+                             print_nla)
 
 
 class TestGrammar:
@@ -55,6 +56,18 @@ class TestGrammar:
             parse_nla("[1,2] = 3\ndim 3\n")
         with pytest.raises(NlaSyntaxError):
             parse_nla("name \"x\"\n")
+
+    def test_dim_limit(self):
+        assert parse_nla(f"dim {MAX_DIM}\n").dim == MAX_DIM
+        assert parse_nla("dim 007\n").dim == 7
+        for text in (f"dim {MAX_DIM + 1}", "dim 3000", "dim " + "9" * 5000):
+            with pytest.raises(NlaSyntaxError) as exc:
+                parse_nla("# huge\n" + text + "\n")
+            assert (exc.value.line, exc.value.col) == (2, 1)
+            assert f"limit of {MAX_DIM}" in str(exc.value)
+        for text in ("dim 0", "dim 000", "dim", "dim -3", "dim \u00b2"):
+            with pytest.raises(NlaSyntaxError, match="dim N with N >= 1"):
+                parse_nla(text + "\n")
 
     def test_comments_and_blank_lines(self):
         doc = parse_nla("# header\n\ndim 3  # trailing\n[1,2] = 3 # more\n")

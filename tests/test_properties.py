@@ -9,17 +9,21 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from nlacs import corpus, liealg
+from nlacs import corpus, cpx, liealg
 from nlacs.ceq import complex_equations, d_square_defect, real_equations
 from nlacs.cpx import (Acs, adapt_frame, integrability_defect,
                        j_compatible_series, largest_j_invariant, nijenhuis,
                        standard_acs)
-from nlacs.exactlin import add_vectors, intersect, sum_span, unit_vector
+from nlacs.exactlin import (Matrix, Subspace, add_vectors, intersect,
+                            kernel_basis, sum_span, unit_vector)
 from nlacs.liealg import (LieAlgebra, ascending_central_series, bracket, center,
-                          change_basis, jacobi_defect, require_lie_algebra)
+                          change_basis, direct_product, jacobi_defect,
+                          require_lie_algebra)
+from nlacs.obstruct import theorem_audit
 
 from conftest import (random_acs, random_algebra, random_fraction,
-                      random_invertible, random_subspace)
+                      random_invertible, random_matrix, random_subspace,
+                      sympy_nullspace)
 
 EVEN_CORPUS = ("abelian4", "abelian8", "ex2_5", "ex2_6", "ex3_17", "ex3_18",
                "filiform8", "heis3xR3", "g2dim3_138", "g2dim5_158")
@@ -244,3 +248,153 @@ def test_defect_lists_are_fresh():
         first.append(((1, 2, 3), (Fraction(1),) * 5))
         assert jacobi_defect(g) == expected
         assert jacobi_defect(g) is not jacobi_defect(g)
+    # the cached Nijenhuis defects too: [e1,e3] = e1 under the standard J
+    g, j = LieAlgebra.from_brackets(4, {(1, 3): {1: 1}}), standard_acs(4)
+    first = integrability_defect(g, j)
+    expected = list(first)
+    first.clear()
+    assert expected and integrability_defect(g, j) == expected
+    assert integrability_defect(g, j) is not integrability_defect(g, j)
+
+
+def test_nijenhuis_evaluated_once_per_audit(monkeypatch):
+    calls = []
+    original = cpx._nijenhuis_contraction
+
+    def counting(g, j):
+        calls.append((g, j))
+        return original(g, j)
+
+    monkeypatch.setattr(cpx, "_nijenhuis_contraction", counting)
+    doc = corpus.load("ex2_5")
+    g0, j = doc.algebra(), doc.structure("J")
+    g = LieAlgebra(g0.dim, g0.names, g0.table)
+    theorem_audit(g, j)
+    assert len(calls) == 1
+    # the cache is keyed by J's matrix, not by the Acs object
+    first = integrability_defect(g, Acs(j.dim, j.matrix))
+    assert first == [] and len(calls) == 1
+    integrability_defect(g, doc.structure("hat"))
+    assert len(calls) == 2
+    twin = LieAlgebra(g.dim, g.names, g.table)
+    integrability_defect(twin, j)
+    assert len(calls) == 3 and calls[2][0] is twin
+
+
+# --- the series kernel builder against a dense reference ------------------
+
+def _dense_next_term(g: LieAlgebra, prev: Subspace, j: Acs | None = None):
+    """{x : [x, e_k] (and [Jx, e_k]) in prev for all k}, from dense brackets.
+
+    Every coordinate of prev.reduce([e_i, e_k]) gives a row, zero or
+    not; the kernel comes from the sympy oracle, and every basis vector
+    of the result is checked with Subspace.contains.
+    """
+    n = g.dim
+    e = [unit_vector(n, i) for i in range(n)]
+    images = [e] if j is None else [e, [j.apply(v) for v in e]]
+    rows = []
+    for k in range(n):
+        for src in images:
+            cols = [prev.reduce(bracket(g, x, e[k])) for x in src]
+            rows += [[col[c] for col in cols] for c in range(n)]
+    term = sympy_nullspace(Matrix.from_rows(rows))
+    for x in term.basis.entries:
+        for k in range(n):
+            assert prev.contains(bracket(g, x, e[k]))
+            if j is not None:
+                assert prev.contains(bracket(g, j.apply(x), e[k]))
+    return term
+
+
+def _dense_series(g: LieAlgebra, j: Acs | None = None) -> list[Subspace]:
+    terms = [Subspace.zero(g.dim)]
+    while True:
+        nxt = _dense_next_term(g, terms[-1], j)
+        if nxt == terms[-1]:
+            return terms[1:]
+        terms.append(nxt)
+
+
+# [h, e] = 2e, [h, f] = -2f, [e, f] = h, and [x, y] = y: not nilpotent
+SL2 = LieAlgebra.from_brackets(3, {(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}})
+AFFINE_LINE = LieAlgebra.from_brackets(2, {(1, 2): {2: 1}})
+
+
+def _seeded_lie_algebra(rnd: random.Random) -> LieAlgebra:
+    """A corpus algebra, or a non-nilpotent one, in a random frame."""
+    pick = rnd.random()
+    if pick < 0.5:
+        g = corpus.load(rnd.choice(EVEN_CORPUS)).algebra()
+    elif pick < 0.75:
+        g = direct_product(rnd.choice((SL2, AFFINE_LINE)),
+                           corpus.load(rnd.choice(("h3", "abelian4"))).algebra())
+    else:
+        g = rnd.choice((SL2, AFFINE_LINE, direct_product(AFFINE_LINE, AFFINE_LINE)))
+    return change_basis(g, random_invertible(rnd, g.dim))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_next_term_matches_dense_reference(seed):
+    # any table (Jacobi or not, sparse or dense), any subspace as prev
+    rnd = random.Random(seed)
+    dim = rnd.choice((2, 4, 6))
+    g = _seeded_algebra(seed) if rnd.random() < 0.3 else _random_table(rnd, dim)
+    prev = random_subspace(rnd, g.dim)
+    assert liealg._next_term(g, prev) == _dense_next_term(g, prev)
+    if g.dim % 2 == 0:
+        j = random_acs(rnd, g.dim) if rnd.random() < 0.7 else standard_acs(g.dim)
+        assert liealg._next_term(g, prev, j) == _dense_next_term(g, prev, j)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_ascending_central_series_matches_dense_reference(seed):
+    g = _seeded_lie_algebra(random.Random(seed))
+    terms = _dense_series(g)
+    rep = ascending_central_series(g)
+    assert list(rep.terms) == terms
+    # a centerless algebra has no terms: the series stops at g_0 = 0
+    top = terms[-1] if terms else Subspace.zero(g.dim)
+    assert rep.is_nilpotent == (top == Subspace.full(g.dim))
+    assert center(g) == (terms[0] if terms else Subspace.zero(g.dim))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=20, deadline=None)
+def test_j_compatible_series_matches_dense_reference(seed):
+    rnd = random.Random(seed)
+    name, sname = rnd.choice(INTEGRABLE)
+    doc = corpus.load(name)
+    g, j = doc.algebra(), doc.structure(sname)
+    p = random_invertible(rnd, g.dim)
+    g2, j2 = change_basis(g, p), Acs(g.dim, p.inverse() @ j.matrix @ p)
+    cls = j_compatible_series(g2, j2)
+    assert list(cls.j_series[1:]) == _dense_series(g2, j2)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_kernel_basis_with_zero_rows_matches_sympy(seed):
+    rnd = random.Random(seed)
+    cols = rnd.randint(1, 6)
+    rows = [list(r) for r in random_matrix(rnd, rnd.randint(0, 5), cols).entries]
+    for _ in range(rnd.randint(1, 4)):
+        rows.insert(rnd.randint(0, len(rows)), [Fraction(0)] * cols)
+    m = Matrix.from_rows(rows)
+    assert kernel_basis(m) == sympy_nullspace(m)
+
+
+def test_kernel_basis_without_rows_is_full():
+    for n in (1, 3):
+        assert kernel_basis(Matrix(0, n, ())) == Subspace.full(n)
+
+
+@given(subspace_pair())
+@settings(max_examples=80, deadline=None)
+def test_coords_mod_matches_reduce(pair):
+    s, t = pair
+    for v in t.basis.entries + (unit_vector(s.ambient_dim, 0),):
+        rem = s.reduce(v)
+        assert s.coords_mod(v) == tuple(rem[c] for c in s.nonpivots)
